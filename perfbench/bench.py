@@ -111,22 +111,23 @@ def measure(spec, inputs, seed: int, seconds: float) -> tuple[dict, list, int, i
 def trace(spec, inputs, seed: int, generate_s: float) -> tuple[dict, list, int, int]:
     problems, warm_done = warm_up(spec, inputs, seed)
 
-    def plain_round() -> tuple[float, int]:
+    def plain_round() -> tuple:
         plain = run_round(spec, inputs, seed)
         problems.extend(check_round(plain, inputs))
-        return plain.wall_s, plain.done.kv_done
+        return plain.wall_s, plain.done.kv_done, plain.provision_s, plain.load_s
 
     # plain rounds on both sides of the traced one, so that a drift of
-    # the host's speed does not read as tracing overhead
-    before_wall, before_done = plain_round()
+    # the host's speed does not read as tracing overhead; the set-up
+    # figures come from them too, as the traced round builds its cluster
+    # with the program's stage probe on
+    before = plain_round()
     tracer = LayerTracer()
     traced = run_round(spec, inputs, seed, tracer=tracer)
     problems += check_round(traced, inputs)
     kv_done = traced.done.kv_done
-    provision_s, load_s = traced.provision_s, traced.load_s
     del traced
-    after_wall, after_done = plain_round()
-    plain_wall = (before_wall + after_wall) / 2
+    after = plain_round()
+    plain_wall, _, provision_s, load_s = ((a + b) / 2 for a, b in zip(before, after))
     counts = tracer.counts
     s = tracer.seconds
     ledger = {
@@ -183,7 +184,7 @@ def trace(spec, inputs, seed: int, generate_s: float) -> tuple[dict, list, int, 
     if tracer.stage_batches != batches:
         problems.append(f"{tracer.stage_batches} stage records for {batches} batches")
     attempted = 4 * inputs.kv_operations()
-    completed = warm_done + before_done + kv_done + after_done
+    completed = warm_done + before[1] + kv_done + after[1]
     return metrics, problems, attempted, attempted - completed
 
 

@@ -215,21 +215,57 @@ def check_shard(cluster, shard: int, done, models: dict) -> list[str]:
 
 def negative_controls(spec, seed: int) -> list[str]:
     """Small attacked runs that the workload's own verdict entry point
-    must flag: a forked shard whose forks are later joined, and a shard
-    restarted from a rolled-back sealed state."""
+    must flag on the attacked shard 0 and nowhere else.
+
+    Each control also states what detects its attack.  ``fork`` is seen
+    by the verdict's checker alone: the two instances of the forked shard
+    diverge and are never joined, so no context or client meets a
+    conflict during the run, and the verdict must report the shard as
+    forked.  ``fork-join`` and ``rollback`` are caught during the run:
+    the client's sequence number is ahead of the context's row, the
+    shard halts, and the verdict must report that violation.
+    """
     entry = "streaming_verdict" if spec.streaming else "verdict"
-    problems: list[str] = []
     small = Spec(
         name=spec.name, shards=2, clients=3, workload=spec.workload, requests=0,
         streaming=spec.streaming,
     )
+    problems: list[str] = []
+    for name, attack, caught_live in CONTROLS:
+        cluster, router = attack(small, seed)
+        live = cluster.shard_violation(0)
+        if (live is not None) != caught_live or cluster.shard_violation(1) is not None:
+            problems.append(
+                f"{name} control: shard violations during the run "
+                f"{live!r} / {cluster.shard_violation(1)!r}, expected "
+                f"{'one on shard 0' if caught_live else 'none'}"
+            )
+            continue
+        verdict = getattr(router, entry)()
+        if caught_live:
+            flagged = list(verdict.violations) == [0] and not verdict.forked_shards
+        else:
+            flagged = not verdict.violations and verdict.forked_shards == [0]
+        found = f"violations {sorted(verdict.violations)} forked {verdict.forked_shards}"
+        if not flagged:
+            problems.append(f"{name} control not flagged by {entry}(): {found}")
+        print(
+            f"control {name}: {'caught during the run' if caught_live else 'no live violation'}; "
+            f"{entry}() reports {found}"
+        )
+    return problems
 
-    def victim_keys(cluster, count: int) -> list[str]:
-        keys = (f"control-{seed}-{index}" for index in range(10_000))
-        return [key for key in keys if cluster.ring.owner(key) == 0][:count]
 
-    cluster, router = rounds.build(small, seed, malicious_shards=(0,))
-    keys = victim_keys(cluster, 3)
+def victim_keys(cluster, seed: int, count: int) -> list[str]:
+    keys = (f"control-{seed}-{index}" for index in range(10_000))
+    return [key for key in keys if cluster.ring.owner(key) == 0][:count]
+
+
+def forked(spec, seed: int) -> tuple:
+    """Shard 0 forked after a common prefix; client 3 runs on the fork,
+    clients 1 and 2 on the main instance, each side writes and reads."""
+    cluster, router = rounds.build(spec, seed, malicious_shards=(0,))
+    keys = victim_keys(cluster, seed, 3)
     for client in cluster.client_ids:
         router.submit(client, put(keys[0], f"base-{client}"))
     cluster.run()
@@ -238,15 +274,25 @@ def negative_controls(spec, seed: int) -> list[str]:
     router.submit(1, put(keys[1], "main-side"))
     router.submit(3, put(keys[2], "fork-side"))
     cluster.run()
-    cluster.route_client(0, 3, 0)  # the host joins the forks back
-    router.submit(3, get(keys[0]))
+    router.submit(2, get(keys[1]))
+    router.submit(3, get(keys[1]))
     cluster.run()
-    verdict = getattr(router, entry)()
-    if verdict.ok or list(verdict.violations) != [0]:
-        problems.append(f"fork control not flagged by {entry}(): {verdict.violations}")
+    return cluster, router
 
-    cluster, router = rounds.build(small, seed)
-    keys = victim_keys(cluster, 2)
+
+def fork_joined(spec, seed: int) -> tuple:
+    """The fork above, after which the host joins the forks back."""
+    cluster, router = forked(spec, seed)
+    cluster.route_client(0, 3, 0)
+    router.submit(3, get(victim_keys(cluster, seed, 1)[0]))
+    cluster.run()
+    return cluster, router
+
+
+def rolled_back(spec, seed: int) -> tuple:
+    """An honest shard restarted from its first sealed state."""
+    cluster, router = rounds.build(spec, seed)
+    keys = victim_keys(cluster, seed, 2)
     for index, key in enumerate(keys):
         router.submit(1, put(key, str(index)))
     cluster.run()
@@ -255,7 +301,12 @@ def negative_controls(spec, seed: int) -> list[str]:
     host.reboot()
     router.submit(1, get(keys[0]))
     cluster.run()
-    verdict = getattr(router, entry)()
-    if verdict.ok or list(verdict.violations) != [0]:
-        problems.append(f"rollback control not flagged by {entry}(): {verdict.violations}")
-    return problems
+    return cluster, router
+
+
+#: (name, attack, caught during the run rather than by the verdict alone)
+CONTROLS = (
+    ("fork", forked, False),
+    ("fork-join", fork_joined, True),
+    ("rollback", rolled_back, True),
+)

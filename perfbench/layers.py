@@ -34,7 +34,7 @@ from collections import Counter
 
 import repro.sharding.router as router_module
 
-from rounds import channels
+from rounds import channels, stored_bytes, wire_bytes
 
 TXN_PREFIX = "__LCM_TXN_"
 STAGES = ("unseal", "execute", "reply_seal", "state_seal")
@@ -43,17 +43,16 @@ STAGES = ("unseal", "execute", "reply_seal", "state_seal")
 def counters(cluster, router) -> dict:
     """The program's own work counters, summed over the cluster."""
     shards = [cluster._shards[shard] for shard in cluster.shard_ids]
-    links = channels(cluster)
     return {
         "router.requests": router.operations_submitted,
         "router.txn_commits": router.transactions_committed,
         "router.txn_aborts": router.transactions_aborted,
         "net.events": cluster.sim.events_processed,
-        "net.messages": sum(channel.sent for channel in links),
-        "net.bytes": sum(channel.bytes_sent for channel in links),
+        "net.messages": sum(channel.sent for channel in channels(cluster)),
+        "net.bytes": wire_bytes(cluster),
         "dispatch.batches": sum(shard.dispatcher.batches for shard in shards),
         "dispatch.items": sum(shard.dispatcher.items for shard in shards),
-        "storage.physical_bytes": sum(shard.host.storage.physical_bytes() for shard in shards),
+        "storage.physical_bytes": stored_bytes(cluster),
         "storage.logical_bytes": sum(shard.host.storage.total_bytes() for shard in shards),
     }
 

@@ -48,7 +48,7 @@ SPECS = {
             shards=4,
             clients=32,
             workload=WORKLOAD_A.with_params(value_size=100),
-            requests=4000,
+            requests=12000,
         ),
         Spec(
             "txn-audit",
